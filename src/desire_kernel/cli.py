@@ -13,7 +13,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import events, filters, gambles, lawcheck, logic, sds
+from . import events, gambles, lawcheck, logic, sds
 from .core import (
     CapacityError,
     InconsistencyError,
@@ -23,7 +23,6 @@ from .core import (
 )
 
 DEFAULT_T_LIMIT = 12
-DEFAULT_C_LIMIT = 12
 
 
 class _Output:
@@ -49,31 +48,21 @@ def _load_universe(path: str) -> Universe:
     return parse_universe(_read(path))
 
 
-def _capacities(args) -> tuple[int, int]:
-    """Resolve |T| / |C| bounds: defaults, env override, both gated by --force."""
-    t_limit, c_limit = DEFAULT_T_LIMIT, DEFAULT_C_LIMIT
-    requested = []
+def _t_limit(args) -> int:
+    """Resolve the |T| bound: default, env override, --capacity; raising needs --force."""
+    t_limit = DEFAULT_T_LIMIT
     env = os.environ.get("DESIRE_KERNEL_CAPACITY")
-    if env:
-        requested.append(("DESIRE_KERNEL_CAPACITY", env))
-    if getattr(args, "capacity", None):
-        requested.append(("--capacity", args.capacity))
-    parsed = []
-    for origin, value in requested:
+    for origin, value in (("DESIRE_KERNEL_CAPACITY", env), ("--capacity", args.capacity)):
+        if not value:
+            continue
         try:
-            parsed.append((origin, [int(v) for v in value.split(",")]))
+            new_t = int(value)
         except ValueError:
             raise InputError(f"bad {origin} value {value!r}") from None
-    requested = parsed
-    for origin, parts in requested:
-        new_t = parts[0]
-        new_c = parts[1] if len(parts) > 1 else c_limit
-        if (new_t > t_limit or new_c > c_limit) and not args.force:
-            raise InputError(
-                f"{origin} raises the capacity bounds; pass --force to confirm"
-            )
-        t_limit, c_limit = new_t, new_c
-    return t_limit, c_limit
+        if new_t > t_limit and not args.force:
+            raise InputError(f"{origin} raises the capacity bound; pass --force to confirm")
+        t_limit = new_t
+    return t_limit
 
 
 def _parse_set(u: Universe, spec: str) -> int:
@@ -108,8 +97,7 @@ def cmd_coherent(args, out: _Output) -> int:
 
 def cmd_enumerate(args, out: _Output) -> int:
     u = _load_universe(args.universe)
-    t_limit, _ = _capacities(args)
-    for D in u.enumerate_coherent_sdts(limit=t_limit):
+    for D in u.enumerate_coherent_sdts(limit=_t_limit(args)):
         out.line(u.format_set(D))
     return 0
 
@@ -123,10 +111,7 @@ def _load_sds(u: Universe, path: str):
 def cmd_sds_close(args, out: _Output) -> int:
     u = _load_universe(args.universe)
     W = _load_sds(u, args.sds)
-    if args.method == "fixpoint":
-        K = sds.sds_closure(u, W)
-    else:
-        K = sds.conjunctive_closure(u, W)
+    K = sds.conjunctive_closure(u, W)
     out.line(sds.format_sds(u, K))
     return 1 if sds.is_top(u, K) else 0
 
@@ -134,7 +119,7 @@ def cmd_sds_close(args, out: _Output) -> int:
 def cmd_sds_check(args, out: _Output) -> int:
     u = _load_universe(args.universe)
     K = _load_sds(u, args.sds)
-    verdict = sds.check_sds_coherent(u, K, args.mode)
+    verdict = sds.check_sds_coherent(u, K)
     if verdict.ok:
         out.line("COHERENT")
         return 0
@@ -277,8 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("text", "lines"), default="text")
     parser.add_argument("--force", action="store_true",
                         help="confirm capacity overrides above the defaults")
-    parser.add_argument("--capacity", metavar="N[,N]",
-                        help="|T| bound, optionally followed by the |C| bound")
+    parser.add_argument("--capacity", metavar="N",
+                        help="|T| bound for enumeration")
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("closure", help="close a set of things")
@@ -298,13 +283,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("sds-close", help="close a set of desirable sets")
     p.add_argument("universe")
     p.add_argument("sds")
-    p.add_argument("--method", choices=("fixpoint", "conjunctive"), default="fixpoint")
+    p.add_argument("--method", choices=("fixpoint", "conjunctive"),
+                   help="accepted for compatibility: both give the same closure")
     p.set_defaults(run=cmd_sds_close)
 
     p = subs.add_parser("sds-check", help="check an SDS for coherence")
     p.add_argument("universe")
     p.add_argument("sds")
-    p.add_argument("--mode", choices=("finite", "full"), default="finite")
     p.set_defaults(run=cmd_sds_check)
 
     p = subs.add_parser("conjrep", help="show the compatible models of an SDS")
@@ -318,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", choices=sorted(lawcheck.BUDGETS), default="default")
     p.add_argument("--mutate", default=None,
-                   help="disable one coherence axiom (K1..K5/F1..F5) as a self-test")
+                   help="disable one coherence axiom (K1..K5) as a self-test")
     p.set_defaults(run=cmd_lawcheck)
 
     p_logic = subs.add_parser("logic", help="propositional-logic backend")

@@ -112,32 +112,23 @@ class EventLattice:
 
 
 def build_event_lattice(u: Universe, limit: int = DEFAULT_C_LIMIT) -> EventLattice:
-    """Close the basic events under pairwise union and intersection.
+    """The lattice generated by the basic events: the up-sets of (C, within).
 
-    Every A_s is a union of single-thing events A_{t} for t in s, so the
-    generators are those, plus the empty event for A_0.  The scan stays
-    feasible only for small C, hence the limit.
+    Each basic event is an up-set, and each principal up-set is the meet
+    of the single-thing events A_{t} for t in its generator, so the
+    generated lattice is every up-set (Birkhoff's representation).  C is
+    ordered by mask, a linear extension of inclusion, so scanning it
+    from the top down decides each SDT after all of its strict
+    supersets.  The number of up-sets can reach 2^|C|, hence the limit.
     """
     C = coherent_sdts(u)
     if len(C) > limit:
         raise CapacityError(f"lattice construction limited to {limit} coherent SDTs, got {len(C)}")
-    top = (1 << len(C)) - 1
-    elements = {0, top}
-    for t in range(u.size):
-        elements.add(basic_event(u, 1 << t))
-    while True:
-        new = set()
-        for a in elements:
-            for b in elements:
-                if a < b:
-                    if a | b not in elements:
-                        new.add(a | b)
-                    if a & b not in elements:
-                        new.add(a & b)
-        if not new:
-            break
-        elements |= new
-    return EventLattice(u, frozenset(elements))
+    upsets = [0]
+    for i in reversed(range(len(C))):
+        above = upset_in_C(u, 1 << i) & ~(1 << i)
+        upsets += [e | 1 << i for e in upsets if above & ~e == 0]
+    return EventLattice(u, frozenset(upsets))
 
 
 def format_event(u: Universe, event: int) -> str:

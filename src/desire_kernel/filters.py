@@ -1,8 +1,10 @@
-"""Filters on the event lattice and the SDS/SDFS representation maps.
+"""Filters on the event lattice and the SDS representation maps.
 
 A filter is stored as an explicit frozenset of lattice elements (event
 masks); bases are accepted as an ingestion format.  The lattice order
 is event inclusion, so upward closure and meets are set operations.
+The lattice is finite, so every filter is the principal filter of its
+meet.
 """
 
 from __future__ import annotations
@@ -10,22 +12,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import InconsistencyError, InputError, Universe
-from .events import EventLattice, basic_event, event_of
+from .events import EventLattice, basic_event, event_of, upset_in_C
 
 __all__ = [
     "LatticeFilter",
     "FilterBase",
     "generate_filter",
     "is_proper",
-    "is_principal",
     "is_prime",
     "enumerate_proper_filters",
     "enumerate_prime_filters",
     "prime_decomposition",
     "filterize",
     "desirify",
-    "sdfs_filterize",
-    "sdfs_desirify",
     "principal_filterize",
     "format_filter",
 ]
@@ -101,22 +100,16 @@ def is_proper(F: LatticeFilter) -> bool:
     return F.lattice.bottom not in F.members
 
 
-def is_principal(F: LatticeFilter) -> bool:
-    """F is the up-set of a single element (always true on finite lattices)."""
-    meet = F.meet()
-    return meet in F.members and F.members == F.lattice.upset(meet)
-
-
 def is_prime(F: LatticeFilter) -> bool:
-    """Proper, and containing a join forces containing one of the parts."""
-    if not is_proper(F):
-        return False
-    elements = tuple(F.lattice.elements)
-    for a in elements:
-        for b in elements:
-            if (a | b) in F.members and a not in F.members and b not in F.members:
-                return False
-    return True
+    """Proper, and containing a join forces containing one of the parts.
+
+    The lattice is the up-sets of (C, within), whose join-irreducible
+    elements are the principal up-sets, so F is prime exactly when its
+    meet is the up-set of one coherent SDT: that of its first member,
+    which is minimal since C is ordered by mask.
+    """
+    meet = F.meet()
+    return meet != 0 and upset_in_C(F.lattice.universe, meet & -meet) == meet
 
 
 def enumerate_proper_filters(lattice: EventLattice) -> list[LatticeFilter]:
@@ -129,7 +122,11 @@ def enumerate_proper_filters(lattice: EventLattice) -> list[LatticeFilter]:
 
 
 def enumerate_prime_filters(lattice: EventLattice) -> list[LatticeFilter]:
-    return [F for F in enumerate_proper_filters(lattice) if is_prime(F)]
+    """One prime filter per coherent SDT D: the events containing D."""
+    u = lattice.universe
+    # The sure event has one bit per coherent SDT.
+    meets = sorted(upset_in_C(u, 1 << i) for i in range(lattice.top.bit_length()))
+    return [LatticeFilter(lattice, lattice.upset(m)) for m in meets]
 
 
 def prime_decomposition(F: LatticeFilter) -> list[LatticeFilter]:
@@ -163,16 +160,6 @@ def desirify(u: Universe, F: LatticeFilter) -> frozenset[int]:
     return frozenset(s for s in u.subsets() if basic_event(u, s) in F.members)
 
 
-def sdfs_filterize(u: Universe, lattice: EventLattice, F) -> LatticeFilter:
-    """Finite-sets variant of filterize; identical on a finite universe."""
-    return filterize(u, lattice, F)
-
-
-def sdfs_desirify(u: Universe, F: LatticeFilter) -> frozenset[int]:
-    """Finite-sets variant of desirify; identical on a finite universe."""
-    return desirify(u, F)
-
-
 def principal_filterize(u: Universe, lattice: EventLattice, K) -> tuple[int, LatticeFilter]:
     """The event of all of K and its principal filter; requires consistent K.
 
@@ -192,12 +179,7 @@ def format_filter(u: Universe, F: LatticeFilter) -> str:
     from .events import format_event
 
     lines = [format_event(u, e) for e in sorted(F.members, key=lambda e: (e.bit_count(), e))]
-    flags = []
-    if is_prime(F):
-        flags.append("PRIME")
-    if is_principal(F):
-        flags.append("PRINCIPAL")
-    if is_proper(F):
-        flags.append("PROPER")
-    lines.append(" ".join(flags) if flags else "IMPROPER")
+    flags = ["PRIME"] if is_prime(F) else []
+    flags.append("PROPER" if is_proper(F) else "IMPROPER")
+    lines.append(" ".join(flags))
     return "\n".join(lines)

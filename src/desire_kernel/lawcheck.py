@@ -124,9 +124,9 @@ def run_core_suite(seed: int, budget: str = "default", mutate: str | None = None
 def _skip_for(mutate: str | None) -> frozenset[str]:
     if mutate is None:
         return frozenset()
-    axiom = mutate.lstrip("KF")
-    if axiom not in sds.AXIOM_NAMES:
-        raise InputError(f"unknown axiom {mutate!r}; use K1..K5 or F1..F5")
+    axiom = mutate[1:]
+    if mutate[:1] != "K" or axiom not in sds.AXIOM_NAMES:
+        raise InputError(f"unknown axiom {mutate!r}; use K1..K5")
     return frozenset({axiom})
 
 
@@ -161,10 +161,11 @@ def run_sds_suite(seed: int, budget: str = "default", mutate: str | None = None)
     fix_vs_conj = _Check("conjunctive representation: fixpoint closure = event-based closure")
     closed_coherent = _Check("closure of consistent input passes the coherence check")
     production_oracle = _Check("hitting-set production = superset closure of raw products")
-    mode_eq = _Check("finite-mode and full-mode coherence verdicts coincide")
+    representation = _Check("K1-K5 verdict = (K is its own conjunctive closure and not top)")
     bottom = _Check("smallest coherent SDS = sets meeting the always-desirable things")
     top_reject = _Check("the full power set (inconsistency sentinel) never passes the checker")
     conj_char = _Check("conjunctive models: coherent, complete, round-trip to their SDT")
+    complete_models = _Check("complete coherent SDSes are exactly the conjunctive models")
     embedding = _Check("order embedding: D1 within D2 iff S(D1) within S(D2)")
     two_systems = _Check("statement event = upset of production event")
     workhorse = _Check("event monotonicity forces membership monotonicity")
@@ -206,10 +207,9 @@ def run_sds_suite(seed: int, budget: str = "default", mutate: str | None = None)
             )
         for _ in range(10):
             K = frozenset(rng.sample(list(u.subsets()), rng.randint(0, u.full_mask + 1)))
-            fin = sds.check_sds_coherent(u, K, "finite", skip_axioms=skip)
-            ful = sds.check_sds_coherent(u, K, "full", skip_axioms=skip)
-            mode_eq.ensure(
-                (fin.ok, fin.axiom) == (ful.ok, ful.axiom),
+            verdict = sds.check_sds_coherent(u, K, skip_axioms=skip)
+            representation.ensure(
+                verdict.ok == (K == sds.conjunctive_closure(u, K) and not sds.is_top(u, K)),
                 f"universe {u.things} K {_masks(u, K)}",
             )
         try:
@@ -253,6 +253,12 @@ def run_sds_suite(seed: int, budget: str = "default", mutate: str | None = None)
                 f"universe {u.things} W {_masks(u, W)}",
             )
         coherent_sdses = _all_finitely_coherent(u)
+        models = {sds.sdsify(u, D) for D in C}
+        for K in coherent_sdses:
+            complete_models.ensure(
+                sds.is_complete(K) == (K in models),
+                f"universe {u.things} K {_masks(u, K)}",
+            )
         small = [W for W in _families_up_to(u, 2)]
         for K in coherent_sdses:
             for W in small:
@@ -275,10 +281,11 @@ def run_sds_suite(seed: int, budget: str = "default", mutate: str | None = None)
         fix_vs_conj.result(),
         closed_coherent.result(),
         production_oracle.result(),
-        mode_eq.result(),
+        representation.result(),
         bottom.result(),
         top_reject.result(),
         conj_char.result(),
+        complete_models.result(),
         embedding.result(),
         two_systems.result(),
         workhorse.result(),
@@ -303,10 +310,33 @@ def _all_finitely_coherent(u: Universe) -> list[frozenset[int]]:
 
 # -- filters -----------------------------------------------------------
 
+def _pairwise_event_lattice(u: Universe) -> frozenset[int]:
+    """Oracle: close the single-thing events and the bounds under pairwise
+    union and intersection until nothing new appears."""
+    top = (1 << len(events.coherent_sdts(u))) - 1
+    elements = {0, top}
+    for t in range(u.size):
+        elements.add(events.basic_event(u, 1 << t))
+    while True:
+        new = set()
+        for a in elements:
+            for b in elements:
+                if a < b:
+                    if a | b not in elements:
+                        new.add(a | b)
+                    if a & b not in elements:
+                        new.add(a & b)
+        if not new:
+            break
+        elements |= new
+    return frozenset(elements)
+
+
 def run_filters_suite(seed: int, budget: str = "default", mutate: str | None = None):
     rng = random.Random(seed)
     universes = _small_universes(rng, BUDGETS[budget])
     universes = [u for u in universes if len(events.coherent_sdts(u)) <= 7]
+    lattice_oracle = _Check("event lattice = up-sets of C = pairwise closure of the basic events")
     filter_axioms = _Check("generated filters are upward closed and meet closed")
     intersection_structure = _Check("intersections of proper filters are proper filters")
     iso_forward = _Check("order iso (i): filterize of a finitely coherent SDS is a proper filter")
@@ -322,6 +352,10 @@ def run_filters_suite(seed: int, budget: str = "default", mutate: str | None = N
     prime_pullback = _Check("complete coherent extensions intersect to the closure")
     for u in universes:
         lattice = events.build_event_lattice(u)
+        lattice_oracle.ensure(
+            lattice.elements == _pairwise_event_lattice(u),
+            f"universe {u.things} rules {u.closure_spec}",
+        )
         proper = filters.enumerate_proper_filters(lattice)
         for F in proper:
             filter_axioms.ensure(filters.is_proper(F), f"universe {u.things} filter {sorted(F.members)}")
@@ -409,6 +443,7 @@ def run_filters_suite(seed: int, budget: str = "default", mutate: str | None = N
                 f"universe {u.things} W {_masks(u, W)}",
             )
     return [
+        lattice_oracle.result(),
         filter_axioms.result(),
         intersection_structure.result(),
         iso_forward.result(),

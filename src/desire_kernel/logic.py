@@ -10,7 +10,6 @@ exposes deductive closure as a core Backend.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .core import Backend, CapacityError, InputError, Universe
 
@@ -282,6 +281,7 @@ class LogicUniverse:
         self._by_models: dict[int, int] = {}
         for i, m in enumerate(self.model_masks):
             self._by_models.setdefault(m, i)
+        self._theories: dict[int, int] = {}
         forbidden = [str(w) for w, m in zip(self.wffs, self.model_masks) if m == 0]
         backend = Backend(
             close=self._close_mask,
@@ -301,13 +301,15 @@ class LogicUniverse:
             m >>= 1
         return self._theory_mask(common)
 
-    @lru_cache(maxsize=None)
     def _theory_mask(self, valuations: int) -> int:
-        """Things true under every valuation in the given set."""
-        out = 0
-        for i, m in enumerate(self.model_masks):
-            if valuations & ~m == 0:
-                out |= 1 << i
+        """Things true under every valuation in the given set (cached per instance)."""
+        out = self._theories.get(valuations)
+        if out is None:
+            out = 0
+            for i, m in enumerate(self.model_masks):
+                if valuations & ~m == 0:
+                    out |= 1 << i
+            self._theories[valuations] = out
         return out
 
     def _enumerate_coherent(self) -> list[int]:

@@ -1,9 +1,15 @@
-"""Sets of desirable (finite) sets of things.
+"""Sets of desirable sets of things (SDSes).
 
-An SDS is represented as a frozenset of thing masks.  On a finite
-universe every set of things is finite, so SDS and SDFS coincide
-structurally; the separate entry points keep the two calling
-conventions apart.
+An SDS is represented as a frozenset of thing masks.
+
+Finite universes: every set of things is finite and every closure
+operator is finitary, so distinctions the theory draws for infinite
+universes are identities here and have one entry point each.  Every
+SDS is an SDFS (a set of desirable finite sets), and its finite and
+finitary parts are the SDS itself.  Coherence and finite coherence
+coincide (`check_sds_coherent`).  A coherent SDS is fixed by its
+compatible coherent SDTs (`conjunctive_closure`), and the complete
+coherent SDSes are exactly their conjunctive models (`sdsify`).
 
 Inconsistency is a value: the closure operators return the full power
 set (the top of the closed-SDS lattice) instead of raising.
@@ -23,22 +29,16 @@ __all__ = [
     "production_step",
     "production_step_raw",
     "check_sds_coherent",
-    "check_sdfs_coherent",
     "sds_closure",
-    "sdfs_closure",
     "conjunctive_closure",
     "power_set",
     "is_top",
     "sdtify",
     "sdsify",
-    "sdfsify",
     "is_conjunctive",
     "conjunctive_part",
     "is_complete",
-    "finite_part",
-    "finitary_part",
     "up_close",
-    "is_finitary",
     "bottom_sds",
     "enumerate_complete_coherent_extensions",
     "parse_sds",
@@ -133,18 +133,18 @@ def production_step_raw(u: Universe, W) -> frozenset[int]:
     return frozenset(out)
 
 
-def _coherence_violation(u, K, finite_mode, axiom_prefix, skip):
-    """Shared K/F axiom scan; returns a Verdict.
+def check_sds_coherent(u: Universe, K, *, skip_axioms=frozenset()) -> Verdict:
+    """Check axioms K1-K5; the first violated axiom is named with a witness.
 
-    `skip` names axiom numbers ("1".."5") to bypass; it exists so the
-    self-test harness can verify that each axiom is load-bearing.
+    `skip_axioms` names axiom numbers ("1".."5") to bypass; it exists so
+    the self-test harness can verify that each axiom is load-bearing.
     """
+    skip = frozenset(skip_axioms)
     members = frozenset(K)
     for s in members:
         u.check_mask(s)
-    p = axiom_prefix
     if "1" not in skip and 0 in members:
-        return Verdict(False, p + "1", (0,), "the empty set is a member")
+        return Verdict(False, "K1", (0,), "the empty set is a member")
     if "2" not in skip:
         for s in members:
             rest = u.full_mask & ~s
@@ -153,7 +153,7 @@ def _coherence_violation(u, K, finite_mode, axiom_prefix, skip):
                 bigger = s | sub
                 if bigger not in members:
                     return Verdict(
-                        False, p + "2", (s, bigger),
+                        False, "K2", (s, bigger),
                         f"{u.format_set(s)} is a member but superset {u.format_set(bigger)} is not",
                     )
                 if sub == 0:
@@ -164,14 +164,14 @@ def _coherence_violation(u, K, finite_mode, axiom_prefix, skip):
             stripped = s & ~u.forbidden_mask
             if stripped not in members:
                 return Verdict(
-                    False, p + "3", (s, stripped),
+                    False, "K3", (s, stripped),
                     f"member {u.format_set(s)} stripped of forbidden things is missing",
                 )
     if "4" not in skip:
         for bit in _bits(u.always_desirable_mask):
             if bit not in members:
                 return Verdict(
-                    False, p + "4", (bit,),
+                    False, "K4", (bit,),
                     f"singleton {u.format_set(bit)} of an always-desirable thing is missing",
                 )
     if "5" not in skip:
@@ -195,24 +195,11 @@ def _coherence_violation(u, K, finite_mode, axiom_prefix, skip):
             for s in sorted(produced):
                 if s not in members:
                     return Verdict(
-                        False, p + "5", (family, s, per_sigma),
+                        False, "K5", (family, s, per_sigma),
                         f"family {[u.format_set(f) for f in family]} produces "
                         f"{u.format_set(s)}, which is missing",
                     )
-        _ = finite_mode  # identical to the unrestricted mode on a finite universe
     return Verdict(True)
-
-
-def check_sds_coherent(u: Universe, K, mode: str = "finite", *, skip_axioms=frozenset()) -> Verdict:
-    """Check axioms K1-K5; `mode` is "finite" or "full" (identical here)."""
-    if mode not in ("finite", "full"):
-        raise InputError(f"unknown mode {mode!r}")
-    return _coherence_violation(u, K, mode == "finite", "K", frozenset(skip_axioms))
-
-
-def check_sdfs_coherent(u: Universe, F, *, skip_axioms=frozenset()) -> Verdict:
-    """Check axioms F1-F5 (finite coherence for families of finite sets)."""
-    return _coherence_violation(u, F, True, "F", frozenset(skip_axioms))
 
 
 def power_set(u: Universe) -> frozenset[int]:
@@ -230,7 +217,7 @@ def sds_closure(u: Universe, W, *, skip_axioms=frozenset()) -> frozenset[int]:
     Brute force: iterates superset closure, forbidden stripping,
     always-desirable singletons, and production over every subfamily of
     the current set, until stable.  Only viable on very small universes;
-    `conjunctive_closure` is the scalable route and must agree.
+    it is the oracle that `lawcheck` holds `conjunctive_closure` to.
     """
     skip = frozenset(skip_axioms)
     K = set(W)
@@ -278,11 +265,6 @@ def sds_closure(u: Universe, W, *, skip_axioms=frozenset()) -> frozenset[int]:
     return frozenset(K)
 
 
-def sdfs_closure(u: Universe, W, *, skip_axioms=frozenset()) -> frozenset[int]:
-    """Finite-sets variant; coincides with sds_closure on a finite universe."""
-    return sds_closure(u, W, skip_axioms=skip_axioms)
-
-
 def conjunctive_closure(u: Universe, W) -> frozenset[int]:
     """Closure of W via its compatible coherent SDTs; top if none remain.
 
@@ -315,11 +297,6 @@ def sdsify(u: Universe, D: int) -> frozenset[int]:
     return frozenset(s for s in u.subsets() if s & D)
 
 
-def sdfsify(u: Universe, D: int) -> frozenset[int]:
-    """Finite-sets variant of sdsify; identical on a finite universe."""
-    return sdsify(u, D)
-
-
 def is_conjunctive(u: Universe, K) -> bool:
     """Every member contains a thing whose singleton is also a member."""
     return frozenset(K) == sdsify(u, sdtify(K)) if K else True
@@ -348,11 +325,6 @@ def is_complete(K) -> bool:
     return True
 
 
-def finite_part(K) -> frozenset[int]:
-    """Members that are finite sets; everything, on a finite universe."""
-    return frozenset(K)
-
-
 def up_close(u: Universe, F) -> frozenset[int]:
     """All supersets of members of F."""
     out = set()
@@ -368,28 +340,17 @@ def up_close(u: Universe, F) -> frozenset[int]:
     return frozenset(out)
 
 
-def finitary_part(u: Universe, K) -> frozenset[int]:
-    """Supersets of finite members; equals K itself for coherent K here."""
-    return up_close(u, finite_part(K))
-
-
-def is_finitary(u: Universe, K) -> bool:
-    """Every member has a finite member as subset; trivially true here."""
-    return frozenset(K) <= finitary_part(u, K)
-
-
 def bottom_sds(u: Universe) -> frozenset[int]:
     """The smallest coherent SDS: sets meeting the always-desirable things."""
     return sdsify(u, u.always_desirable_mask)
 
 
 def enumerate_complete_coherent_extensions(u: Universe, K) -> list[frozenset[int]]:
-    """All complete, finitely coherent supersets of K.
+    """All complete coherent supersets of K.
 
-    Conjunctive models of coherent SDTs are always complete and cover
-    every case here (the closure operator is finitary); when the power
-    set of things is tiny we additionally scan all SDSes outright so
-    that nothing is silently assumed.
+    On a finite universe the complete coherent SDSes are exactly the
+    conjunctive models of the coherent SDTs, so these are the models
+    that include K.
     """
     members = frozenset(K)
     if not events.event_of(u, members):
@@ -399,13 +360,6 @@ def enumerate_complete_coherent_extensions(u: Universe, K) -> list[frozenset[int
         model = sdsify(u, D)
         if members <= model:
             found.add(model)
-    if u.full_mask + 1 <= 8:
-        all_subsets = sorted(u.subsets())
-        n = len(all_subsets)
-        for bits in range(1 << n):
-            cand = frozenset(all_subsets[i] for i in range(n) if bits >> i & 1)
-            if members <= cand and is_complete(cand) and check_sds_coherent(u, cand).ok:
-                found.add(cand)
     return sorted(found, key=lambda f: sorted(f))
 
 

@@ -82,6 +82,23 @@ def test_sds_close_methods_agree(capsys, u1_path, tmp_path):
     assert "a b c" in outs[0]
 
 
+def test_sds_close_answers_beyond_the_fixpoint_scan(capsys, tmp_path):
+    # the closure of {t0}, {t1 t2} (the sets holding t0 or both t1 and
+    # t2) has 2^4 + 2^2 = 20 members, too many for a fixpoint scan over
+    # its 2^20 subfamilies
+    u = tmp_path / "U5.univ"
+    u.write_text("things: t0 t1 t2 t3 t4\n")
+    w = tmp_path / "W.sds"
+    w.write_text("assert-set: t0\nassert-set: t1 t2\n")
+    code, out, _ = run(capsys, "sds-close", str(u), str(w), "--method", "fixpoint")
+    names = ["t0", "t1", "t2", "t3", "t4"]
+    expected = [
+        " ".join(n for i, n in enumerate(names) if s >> i & 1)
+        for s in range(32) if s & 0b1 or s & 0b110 == 0b110
+    ]
+    assert code == 0 and out.splitlines() == expected and len(expected) == 20
+
+
 def test_sds_close_reports_inconsistency(capsys, u2_path, tmp_path):
     w = tmp_path / "W.sds"
     w.write_text("assert-set: b\n")
@@ -103,9 +120,12 @@ def test_sds_check_accepts_the_closure(capsys, u1_path, tmp_path):
     lines = ["assert-set: " + " ".join(n) for n in
              (["a"], ["b"], ["c"], ["a", "b"], ["a", "c"], ["b", "c"], ["a", "b", "c"])]
     w.write_text("\n".join(lines) + "\n")
-    for mode in ("finite", "full"):
-        code, out, _ = run(capsys, "sds-check", u1_path, str(w), "--mode", mode)
-        assert code == 0 and out == "COHERENT\n"
+    code, out, _ = run(capsys, "sds-check", u1_path, str(w))
+    assert code == 0 and out == "COHERENT\n"
+    with pytest.raises(SystemExit) as exc:  # one checker: there is no --mode
+        main(["sds-check", u1_path, str(w), "--mode", "full"])
+    assert exc.value.code == 2
+    capsys.readouterr()
 
 
 def test_conjrep_lists_event_and_factors(capsys, u1_path, tmp_path):
@@ -157,6 +177,7 @@ def test_lawcheck_mutation_fails_with_a_counterexample(capsys):
 
 def test_lawcheck_rejects_unknown_names(capsys):
     assert run(capsys, "lawcheck", "sds", "--mutate", "K9")[0] == 2
+    assert run(capsys, "lawcheck", "sds", "--mutate", "F1")[0] == 2
     with pytest.raises(SystemExit):  # argparse rejects unknown budgets
         main(["lawcheck", "sds", "--budget", "huge"])
     capsys.readouterr()
@@ -166,9 +187,10 @@ def test_capacity_overrides_need_force(capsys, u2_path, monkeypatch):
     code, _, err = run(capsys, "--capacity", "20", "enumerate", u2_path)
     assert code == 2 and "--force" in err
     assert run(capsys, "--force", "--capacity", "20", "enumerate", u2_path)[0] == 0
-    monkeypatch.setenv("DESIRE_KERNEL_CAPACITY", "20,20")
+    monkeypatch.setenv("DESIRE_KERNEL_CAPACITY", "20")
     assert run(capsys, "enumerate", u2_path)[0] == 2
     assert run(capsys, "--force", "enumerate", u2_path)[0] == 0
+    assert run(capsys, "--force", "--capacity", "20,20", "enumerate", u2_path)[0] == 2
     monkeypatch.setenv("DESIRE_KERNEL_CAPACITY", "lots")
     assert run(capsys, "--force", "enumerate", u2_path)[0] == 2
 

@@ -35,7 +35,7 @@ def test_generate_filter_from_the_top_base(lat1):
     base = filters.FilterBase(lat1, frozenset({lat1.top}))
     F = filters.generate_filter(base)
     assert F.members == frozenset({lat1.top})
-    assert filters.is_proper(F) and filters.is_principal(F)
+    assert filters.is_proper(F) and F.members == lat1.upset(F.meet())
 
 
 def test_generate_filter_from_a_statement_event(u1, lat1):
@@ -67,8 +67,25 @@ def test_whole_lattice_is_improper(lat3):
 def test_every_proper_filter_here_is_principal(lat1, lat3):
     for lattice in (lat1, lat3):
         for F in filters.enumerate_proper_filters(lattice):
-            assert filters.is_principal(F)
+            assert F.meet() in F.members and F.members == lattice.upset(F.meet())
             assert filters.is_proper(F)
+
+
+def test_prime_filters_are_the_proper_filters_no_join_splits(lat1, lat3):
+    for lattice in (lat1, lat3):
+        def splits(F):
+            return any(
+                a | b in F.members and a not in F.members and b not in F.members
+                for a in lattice.elements for b in lattice.elements
+            )
+        by_definition = {
+            F.members for F in filters.enumerate_proper_filters(lattice) if not splits(F)
+        }
+        primes = filters.enumerate_prime_filters(lattice)
+        assert {P.members for P in primes} == by_definition
+        assert len(primes) == len(events.coherent_sdts(lattice.universe))
+        for F in filters.enumerate_proper_filters(lattice):
+            assert filters.is_prime(F) == (F.members in by_definition)
 
 
 def test_bottom_filter_is_prime(u3, lat3):
@@ -103,7 +120,6 @@ def test_filterize_round_trips_with_desirify(u1, lat1):
     e = events.event_of(u1, {u1.mask_of(["a"]), u1.mask_of(["b"])})
     assert F.members == lat1.upset(e)
     assert filters.desirify(u1, F) == K
-    assert filters.sdfs_desirify(u1, filters.sdfs_filterize(u1, lat1, K)) == K
 
 
 def test_desirify_round_trips_with_filterize(u1, lat1):
@@ -151,6 +167,8 @@ def test_proper_filter_intersections_stay_proper(lat1):
 def test_format_filter_flags(u1, lat1):
     K = sds.sdsify(u1, u1.mask_of(["a", "c"]))
     text = filters.format_filter(u1, filters.filterize(u1, lat1, K))
-    assert text.splitlines()[-1] == "PRIME PRINCIPAL PROPER"
+    assert text.splitlines()[-1] == "PRIME PROPER"
+    split = filters.filterize(u1, lat1, up(u1, ["a", "b"]))  # {a}|{b} in, parts out
+    assert filters.format_filter(u1, split).splitlines()[-1] == "PROPER"
     improper = filters.LatticeFilter(lat1, lat1.elements)
-    assert filters.format_filter(u1, improper).splitlines()[-1] == "PRINCIPAL"
+    assert filters.format_filter(u1, improper).splitlines()[-1] == "IMPROPER"

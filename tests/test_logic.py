@@ -1,5 +1,8 @@
 """Wff parsing, truth-table entailment, and the logic backend."""
 
+import gc
+import weakref
+
 import pytest
 
 from desire_kernel import events, logic
@@ -95,6 +98,18 @@ def test_closure_of_nothing_is_the_tautologies(lp):
 def test_inconsistent_premises_close_onto_forbidden_things(lp):
     mask = (1 << lp.wff_index(Atom("p"))) | (1 << lp.wff_index(parse_wff("~p")))
     assert lp.universe.closure(mask) & lp.universe.forbidden_mask
+
+
+def test_dropped_universes_are_freed():
+    # a cache on the class would keep every instance alive
+    refs = []
+    for _ in range(3):
+        lu = logic.LogicUniverse(("p", "q"), depth=2)
+        lu.universe.closure(1)
+        refs.append(weakref.ref(lu))
+        del lu
+    gc.collect()
+    assert [r() for r in refs] == [None, None, None]
 
 
 def test_coherent_sdts_are_the_theories_of_valuation_sets(lp):

@@ -82,27 +82,24 @@ def test_unstripped_forbidden_member_fails(u2):
 
 
 def test_missing_always_desirable_singleton_fails(u2):
-    verdict = sds.check_sdfs_coherent(u2, frozenset())
-    assert verdict.axiom == "F4"
+    verdict = sds.check_sds_coherent(u2, frozenset())
+    assert verdict.axiom == "K4"
     assert verdict.witness == (u2.mask_of(["a"]),)
 
 
 def test_sdfs_bottom_is_coherent(u2):
+    # on a finite universe every SDS is an SDFS: one checker covers both
     F = frozenset(s for s in u2.subsets() if s & u2.mask_of(["a"]))
-    assert sds.check_sdfs_coherent(u2, F).ok
-
-
-def test_mode_must_be_finite_or_full(u1):
-    with pytest.raises(InputError):
-        sds.check_sds_coherent(u1, frozenset(), mode="lazy")
+    assert sds.check_sds_coherent(u2, F).ok
 
 
 def test_finite_and_full_modes_agree(u1, u2, u3):
+    # finite coherence and coherence coincide here: the one checker's
+    # verdict is the representation theorem's
     for u in (u1, u2, u3):
         for K in [frozenset(), nonempty(u), frozenset({u.full_mask}), frozenset({0})]:
-            fin = sds.check_sds_coherent(u, K, "finite")
-            ful = sds.check_sds_coherent(u, K, "full")
-            assert (fin.ok, fin.axiom) == (ful.ok, ful.axiom)
+            closed = K == sds.conjunctive_closure(u, K) and not sds.is_top(u, K)
+            assert sds.check_sds_coherent(u, K).ok == closed
 
 
 # -- closures -----------------------------------------------------------
@@ -150,7 +147,6 @@ def test_sdsify_lists_the_sets_meeting_d(u2):
     assert sds.sdsify(u2, u2.mask_of(["a"])) == frozenset(
         s for s in u2.subsets() if s & u2.mask_of(["a"])
     )
-    assert sds.sdfsify(u2, u2.mask_of(["a"])) == sds.sdsify(u2, u2.mask_of(["a"]))
 
 
 def test_conjunctive_recognition(u1, u2):
@@ -173,10 +169,10 @@ def test_completeness(u1):
 
 
 def test_finite_universe_degeneracies(u1):
+    # every member is finite, so the finitary part (supersets of finite
+    # members) of a coherent SDS is the SDS itself
     K = up(u1, ["a", "b"])
-    assert sds.finite_part(K) == K
-    assert sds.finitary_part(u1, K) == K
-    assert sds.is_finitary(u1, K)
+    assert sds.up_close(u1, K) == K
     assert sds.up_close(u1, frozenset()) == frozenset()
 
 
