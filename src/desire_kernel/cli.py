@@ -59,6 +59,8 @@ def _t_limit(args) -> int:
             new_t = int(value)
         except ValueError:
             raise InputError(f"bad {origin} value {value!r}") from None
+        if new_t < 1:
+            raise InputError(f"{origin} value {value!r} is below 1")
         if new_t > t_limit and not args.force:
             raise InputError(f"{origin} raises the capacity bound; pass --force to confirm")
         t_limit = new_t

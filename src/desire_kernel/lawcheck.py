@@ -10,8 +10,10 @@ the harness can prove its own checks are load-bearing.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from . import events, filters, gambles, logic, sds
 from .core import CapacityError, InputError, RuleSet, Universe
@@ -49,20 +51,31 @@ class CheckResult:
 
 
 class _Check:
-    """Accumulates cases; the first failure freezes the counterexample."""
+    """Accumulates cases; only the first failure formats its counterexample."""
 
     def __init__(self, name: str):
         self.name = name
         self.cases = 0
         self.failure: str | None = None
 
-    def ensure(self, ok: bool, witness: str):
+    def ensure(self, ok: bool, witness: Callable[[], str]):
         self.cases += 1
         if not ok and self.failure is None:
-            self.failure = witness
+            self.failure = witness()
 
     def result(self) -> CheckResult:
         return CheckResult(self.name, self.failure is None, self.cases, self.failure)
+
+
+class _Checks(list):
+    """The checks of one suite, reported in the order they were made."""
+
+    def new(self, name: str) -> _Check:
+        self.append(_Check(name))
+        return self[-1]
+
+    def results(self) -> list[CheckResult]:
+        return [c.result() for c in self]
 
 
 def fixed_universes() -> list[Universe]:
@@ -99,8 +112,9 @@ def _masks(u, masks) -> str:
 def run_core_suite(seed: int, budget: str = "default", mutate: str | None = None):
     rng = random.Random(seed)
     rounds = 50 * BUDGETS[budget]
-    laws = _Check("closure-operator-laws (extensive, monotone, idempotent)")
-    inter = _Check("closure equals intersection of including coherent SDTs")
+    checks = _Checks()
+    laws = checks.new("closure-operator-laws (extensive, monotone, idempotent)")
+    inter = checks.new("closure equals intersection of including coherent SDTs")
     for _ in range(rounds):
         u = random_universe(rng)
         for mask in u.subsets():
@@ -110,13 +124,13 @@ def run_core_suite(seed: int, budget: str = "default", mutate: str | None = None
             c2 = all(
                 cl & ~u.closure(mask | (1 << t)) == 0 for t in range(u.size)
             )
-            laws.ensure(c1 and c2 and c3, f"universe {u.things} rules {u.closure_spec} set {u.format_set(mask)}")
+            laws.ensure(c1 and c2 and c3, lambda: f"universe {u.things} rules {u.closure_spec} set {u.format_set(mask)}")
             if u.is_consistent_sdt(mask):
                 inter.ensure(
                     u.sdt_closure_via_intersection(mask) == cl,
-                    f"universe {u.things} set {u.format_set(mask)}",
+                    lambda: f"universe {u.things} set {u.format_set(mask)}",
                 )
-    return [laws.result(), inter.result()]
+    return checks.results()
 
 
 # -- sds / events ------------------------------------------------------
@@ -139,38 +153,28 @@ def _small_universes(rng, count: int) -> list[Universe]:
 
 def _families_up_to(u, size: int):
     """All SDSes over u with at most `size` members (empty set allowed)."""
-    subsets = list(u.subsets())
-    n = len(subsets)
-    families = [frozenset()]
-    frontier = [frozenset()]
-    for _ in range(size):
-        new = []
-        for fam in frontier:
-            start = max((subsets.index(max(fam)) + 1) if fam else 0, 0)
-            for i in range(start, n):
-                new.append(fam | {subsets[i]})
-        families.extend(new)
-        frontier = new
-    return families
+    return [frozenset(c) for k in range(size + 1) for c in combinations(u.subsets(), k)]
 
 
 def run_sds_suite(seed: int, budget: str = "default", mutate: str | None = None):
     rng = random.Random(seed)
     skip = _skip_for(mutate)
     universes = _small_universes(rng, 2 * BUDGETS[budget])
-    fix_vs_conj = _Check("conjunctive representation: fixpoint closure = event-based closure")
-    closed_coherent = _Check("closure of consistent input passes the coherence check")
-    production_oracle = _Check("hitting-set production = superset closure of raw products")
-    representation = _Check("K1-K5 verdict = (K is its own conjunctive closure and not top)")
-    bottom = _Check("smallest coherent SDS = sets meeting the always-desirable things")
-    top_reject = _Check("the full power set (inconsistency sentinel) never passes the checker")
-    conj_char = _Check("conjunctive models: coherent, complete, round-trip to their SDT")
-    complete_models = _Check("complete coherent SDSes are exactly the conjunctive models")
-    embedding = _Check("order embedding: D1 within D2 iff S(D1) within S(D2)")
-    two_systems = _Check("statement event = upset of production event")
-    workhorse = _Check("event monotonicity forces membership monotonicity")
-    consistency = _Check("events of subfamilies of a coherent SDS are non-empty")
-    binary_conn = _Check("event members are the SDTs whose model includes W")
+    checks = _Checks()
+    fix_vs_conj = checks.new("conjunctive representation: fixpoint closure = event-based closure")
+    closed_coherent = checks.new("closure of consistent input passes the coherence check")
+    production_oracle = checks.new("hitting-set production = superset closure of raw products")
+    representation = checks.new("K1-K5 verdict = (K is its own fixpoint closure and not top)")
+    k5_witness = checks.new("K5 witness is sound: a minimal subfamily of K whose fixpoint closure holds the missing set")
+    bottom = checks.new("smallest coherent SDS = sets meeting the always-desirable things")
+    top_reject = checks.new("the full power set (inconsistency sentinel) never passes the checker")
+    conj_char = checks.new("conjunctive models: coherent, complete, round-trip to their SDT")
+    complete_models = checks.new("complete coherent SDSes are exactly the conjunctive models")
+    embedding = checks.new("order embedding: D1 within D2 iff S(D1) within S(D2)")
+    two_systems = checks.new("statement event = upset of production event")
+    workhorse = checks.new("event monotonicity forces membership monotonicity")
+    consistency = checks.new("events of subfamilies of a coherent SDS are non-empty")
+    binary_conn = checks.new("event members are the SDTs whose model includes W")
     for u in universes:
         families = _families_up_to(u, 3)
         sample = families if len(families) <= 400 else rng.sample(families, 400)
@@ -182,16 +186,13 @@ def run_sds_suite(seed: int, budget: str = "default", mutate: str | None = None)
             conj = sds.conjunctive_closure(u, W)
             fix_vs_conj.ensure(
                 closure == conj,
-                f"universe {u.things} W {_masks(u, W)}: fixpoint {_masks(u, closure)} != events {_masks(u, conj)}",
+                lambda: f"universe {u.things} W {_masks(u, W)}: fixpoint {_masks(u, closure)} != events {_masks(u, conj)}",
             )
             if not sds.is_top(u, conj):
-                try:
-                    verdict = sds.check_sds_coherent(u, conj, skip_axioms=skip)
-                except CapacityError:
-                    continue
+                verdict = sds.check_sds_coherent(u, conj, skip_axioms=skip)
                 closed_coherent.ensure(
                     bool(verdict),
-                    f"universe {u.things} W {_masks(u, W)} closure rejected: {verdict.detail}",
+                    lambda: f"universe {u.things} W {_masks(u, W)} closure rejected: {verdict.detail}",
                 )
         for W in sample:
             if 0 in W or not W:
@@ -203,25 +204,33 @@ def run_sds_suite(seed: int, budget: str = "default", mutate: str | None = None)
                 continue  # raw product space too large for this family
             production_oracle.ensure(
                 step == sds.up_close(u, raw),
-                f"universe {u.things} W {_masks(u, W)}",
+                lambda: f"universe {u.things} W {_masks(u, W)}",
             )
-        for _ in range(10):
-            K = frozenset(rng.sample(list(u.subsets()), rng.randint(0, u.full_mask + 1)))
+        # Random families, and every K1-K4 closed family: the closure of
+        # its (at most three) minimal members, which reaches K5 unless
+        # production adds nothing.
+        candidates = [
+            frozenset(rng.sample(list(u.subsets()), rng.randint(0, u.full_mask + 1)))
+            for _ in range(10)
+        ] + sorted({sds.sds_closure(u, W, skip_axioms={"5"}) for W in sample}, key=sorted)
+        for K in candidates:
             verdict = sds.check_sds_coherent(u, K, skip_axioms=skip)
             representation.ensure(
-                verdict.ok == (K == sds.conjunctive_closure(u, K) and not sds.is_top(u, K)),
-                f"universe {u.things} K {_masks(u, K)}",
+                verdict.ok == (K == sds.sds_closure(u, K, skip_axioms=skip) and not sds.is_top(u, K)),
+                lambda: f"universe {u.things} K {_masks(u, K)}",
             )
-        try:
-            top_verdict = sds.check_sds_coherent(u, sds.power_set(u), skip_axioms=skip)
-            top_reject.ensure(not top_verdict.ok, f"universe {u.things}")
-        except CapacityError:
-            pass
+            if verdict.axiom == "K5":
+                k5_witness.ensure(
+                    _k5_witness_sound(u, K, verdict.witness),
+                    lambda: f"universe {u.things} K {_masks(u, K)}: {verdict.detail}",
+                )
+        top_verdict = sds.check_sds_coherent(u, sds.power_set(u), skip_axioms=skip)
+        top_reject.ensure(not top_verdict.ok, lambda: f"universe {u.things}")
         bot = sds.bottom_sds(u)
         bottom.ensure(
             bot == sds.sds_closure(u, frozenset(), skip_axioms=skip)
             and bool(sds.check_sds_coherent(u, bot, skip_axioms=skip)),
-            f"universe {u.things}",
+            lambda: f"universe {u.things}",
         )
         C = events.coherent_sdts(u)
         for D in C:
@@ -232,12 +241,12 @@ def run_sds_suite(seed: int, budget: str = "default", mutate: str | None = None)
                 and sds.is_complete(model)
                 and sds.sdtify(model) == D
             )
-            conj_char.ensure(ok, f"universe {u.things} D {u.format_set(D)}")
+            conj_char.ensure(ok, lambda: f"universe {u.things} D {u.format_set(D)}")
         for D1 in C:
             for D2 in C:
                 embedding.ensure(
                     (D1 & ~D2 == 0) == (sds.sdsify(u, D1) <= sds.sdsify(u, D2)),
-                    f"universe {u.things} D1 {u.format_set(D1)} D2 {u.format_set(D2)}",
+                    lambda: f"universe {u.things} D1 {u.format_set(D1)} D2 {u.format_set(D2)}",
                 )
         for W in sample:
             if 0 in W:
@@ -245,19 +254,19 @@ def run_sds_suite(seed: int, budget: str = "default", mutate: str | None = None)
             e = events.event_of(u, W)
             two_systems.ensure(
                 e == events.upset_in_C(u, events.production_event(u, W)),
-                f"universe {u.things} W {_masks(u, W)}",
+                lambda: f"universe {u.things} W {_masks(u, W)}",
             )
             binary_conn.ensure(
                 set(events.event_members(u, e))
                 == {D for D in C if all(s & D for s in W)},
-                f"universe {u.things} W {_masks(u, W)}",
+                lambda: f"universe {u.things} W {_masks(u, W)}",
             )
         coherent_sdses = _all_finitely_coherent(u)
         models = {sds.sdsify(u, D) for D in C}
         for K in coherent_sdses:
             complete_models.ensure(
                 sds.is_complete(K) == (K in models),
-                f"universe {u.things} K {_masks(u, K)}",
+                lambda: f"universe {u.things} K {_masks(u, K)}",
             )
         small = [W for W in _families_up_to(u, 2)]
         for K in coherent_sdses:
@@ -265,7 +274,7 @@ def run_sds_suite(seed: int, budget: str = "default", mutate: str | None = None)
                 if W <= K:
                     consistency.ensure(
                         events.event_of(u, W) != 0,
-                        f"universe {u.things} K {_masks(u, K)} W {_masks(u, W)}",
+                        lambda: f"universe {u.things} K {_masks(u, K)} W {_masks(u, W)}",
                     )
             for W1 in small:
                 if not W1 <= K:
@@ -275,23 +284,21 @@ def run_sds_suite(seed: int, budget: str = "default", mutate: str | None = None)
                     if e1 & ~events.event_of(u, W2) == 0:
                         workhorse.ensure(
                             W2 <= K,
-                            f"universe {u.things} K {_masks(u, K)} W1 {_masks(u, W1)} W2 {_masks(u, W2)}",
+                            lambda: f"universe {u.things} K {_masks(u, K)} W1 {_masks(u, W1)} W2 {_masks(u, W2)}",
                         )
-    return [
-        fix_vs_conj.result(),
-        closed_coherent.result(),
-        production_oracle.result(),
-        representation.result(),
-        bottom.result(),
-        top_reject.result(),
-        conj_char.result(),
-        complete_models.result(),
-        embedding.result(),
-        two_systems.result(),
-        workhorse.result(),
-        consistency.result(),
-        binary_conn.result(),
-    ]
+    return checks.results()
+
+
+def _k5_witness_sound(u: Universe, K, witness) -> bool:
+    """The witness family lies in K, its fixpoint closure holds the
+    missing set s, and dropping any one member loses s."""
+    family, s, _compatible = witness
+    return (
+        set(family) <= K
+        and s not in K
+        and s in sds.sds_closure(u, family)
+        and not any(s in sds.sds_closure(u, set(family) - {f}) for f in family)
+    )
 
 
 def _all_finitely_coherent(u: Universe) -> list[frozenset[int]]:
@@ -336,33 +343,34 @@ def run_filters_suite(seed: int, budget: str = "default", mutate: str | None = N
     rng = random.Random(seed)
     universes = _small_universes(rng, BUDGETS[budget])
     universes = [u for u in universes if len(events.coherent_sdts(u)) <= 7]
-    lattice_oracle = _Check("event lattice = up-sets of C = pairwise closure of the basic events")
-    filter_axioms = _Check("generated filters are upward closed and meet closed")
-    intersection_structure = _Check("intersections of proper filters are proper filters")
-    iso_forward = _Check("order iso (i): filterize of a finitely coherent SDS is a proper filter")
-    iso_backward = _Check("order iso (ii): desirify of a proper filter is finitely coherent")
-    iso_round1 = _Check("order iso (iii): desirify after filterize is the identity")
-    iso_round2 = _Check("order iso (iv): filterize after desirify is the identity")
-    iso_mono1 = _Check("order iso (v): filterize preserves inclusion")
-    iso_mono2 = _Check("order iso (vi): desirify preserves inclusion")
-    iso_bottom = _Check("order iso (vii)+(viii): bottoms and tops correspond")
-    iso_prime = _Check("order iso (ix): prime filter iff complete SDS")
-    principal = _Check("principal filter of the statement event = filterize")
-    prime_rep = _Check("prime filter decomposition intersects back to the filter")
-    prime_pullback = _Check("complete coherent extensions intersect to the closure")
+    checks = _Checks()
+    lattice_oracle = checks.new("event lattice = up-sets of C = pairwise closure of the basic events")
+    filter_axioms = checks.new("generated filters are upward closed and meet closed")
+    intersection_structure = checks.new("intersections of proper filters are proper filters")
+    iso_forward = checks.new("order iso (i): filterize of a finitely coherent SDS is a proper filter")
+    iso_backward = checks.new("order iso (ii): desirify of a proper filter is finitely coherent")
+    iso_round1 = checks.new("order iso (iii): desirify after filterize is the identity")
+    iso_round2 = checks.new("order iso (iv): filterize after desirify is the identity")
+    iso_mono1 = checks.new("order iso (v): filterize preserves inclusion")
+    iso_mono2 = checks.new("order iso (vi): desirify preserves inclusion")
+    iso_bottom = checks.new("order iso (vii)+(viii): bottoms and tops correspond")
+    iso_prime = checks.new("order iso (ix): prime filter iff complete SDS")
+    principal = checks.new("principal filter of the statement event = filterize")
+    prime_rep = checks.new("prime filter decomposition intersects back to the filter")
+    prime_pullback = checks.new("complete coherent extensions intersect to the closure")
     for u in universes:
         lattice = events.build_event_lattice(u)
         lattice_oracle.ensure(
             lattice.elements == _pairwise_event_lattice(u),
-            f"universe {u.things} rules {u.closure_spec}",
+            lambda: f"universe {u.things} rules {u.closure_spec}",
         )
         proper = filters.enumerate_proper_filters(lattice)
         for F in proper:
-            filter_axioms.ensure(filters.is_proper(F), f"universe {u.things} filter {sorted(F.members)}")
+            filter_axioms.ensure(filters.is_proper(F), lambda: f"universe {u.things} filter {sorted(F.members)}")
             base = filters.FilterBase(lattice, frozenset({F.meet()}))
             filter_axioms.ensure(
                 filters.generate_filter(base).members == F.members,
-                f"universe {u.things} base {F.meet()}",
+                lambda: f"universe {u.things} base {F.meet()}",
             )
         for F1 in proper:
             for F2 in proper:
@@ -370,7 +378,7 @@ def run_filters_suite(seed: int, budget: str = "default", mutate: str | None = N
                 inter = filters.LatticeFilter(lattice, both)
                 intersection_structure.ensure(
                     filters.is_proper(inter),
-                    f"universe {u.things} filters {sorted(F1.members)} {sorted(F2.members)}",
+                    lambda: f"universe {u.things} filters {sorted(F1.members)} {sorted(F2.members)}",
                 )
         coherent_sdses = _all_finitely_coherent(u)
         pairs = []
@@ -379,47 +387,47 @@ def run_filters_suite(seed: int, budget: str = "default", mutate: str | None = N
             pairs.append((K, F))
             iso_forward.ensure(
                 filters.is_proper(F) and any(F.members == P.members for P in proper),
-                f"universe {u.things} K {_masks(u, K)}",
+                lambda: f"universe {u.things} K {_masks(u, K)}",
             )
             back = filters.desirify(u, F)
-            iso_round1.ensure(back == K, f"universe {u.things} K {_masks(u, K)}")
+            iso_round1.ensure(back == K, lambda: f"universe {u.things} K {_masks(u, K)}")
             iso_prime.ensure(
                 filters.is_prime(F) == sds.is_complete(K),
-                f"universe {u.things} K {_masks(u, K)}",
+                lambda: f"universe {u.things} K {_masks(u, K)}",
             )
             E_K, pf = filters.principal_filterize(u, lattice, K)
             principal.ensure(
                 pf.members == F.members and E_K == F.meet(),
-                f"universe {u.things} K {_masks(u, K)}",
+                lambda: f"universe {u.things} K {_masks(u, K)}",
             )
         for F in proper:
             K = filters.desirify(u, F)
             iso_backward.ensure(
                 sds.check_sds_coherent(u, K).ok,
-                f"universe {u.things} filter min {F.meet()}",
+                lambda: f"universe {u.things} filter min {F.meet()}",
             )
             iso_round2.ensure(
                 filters.filterize(u, lattice, K).members == F.members,
-                f"universe {u.things} filter min {F.meet()}",
+                lambda: f"universe {u.things} filter min {F.meet()}",
             )
         for K1, F1 in pairs:
             for K2, F2 in pairs:
                 if K1 <= K2:
                     iso_mono1.ensure(
                         F1.members <= F2.members,
-                        f"universe {u.things} K1 {_masks(u, K1)} K2 {_masks(u, K2)}",
+                        lambda: f"universe {u.things} K1 {_masks(u, K1)} K2 {_masks(u, K2)}",
                     )
                 if F1.members <= F2.members:
                     iso_mono2.ensure(
                         filters.desirify(u, F1) <= filters.desirify(u, F2),
-                        f"universe {u.things}",
+                        lambda: f"universe {u.things}",
                     )
         bottom_filter = filters.filterize(u, lattice, sds.bottom_sds(u))
         iso_bottom.ensure(
             bottom_filter.members == frozenset({lattice.top})
             and filters.desirify(u, bottom_filter) == sds.bottom_sds(u)
             and filters.filterize(u, lattice, sds.power_set(u)).members == lattice.elements,
-            f"universe {u.things}",
+            lambda: f"universe {u.things}",
         )
         for F in proper:
             primes = filters.prime_decomposition(F)
@@ -428,7 +436,7 @@ def run_filters_suite(seed: int, budget: str = "default", mutate: str | None = N
                 meet &= P.members
             prime_rep.ensure(
                 meet == F.members,
-                f"universe {u.things} filter min {F.meet()}",
+                lambda: f"universe {u.things} filter min {F.meet()}",
             )
         for W in _families_up_to(u, 2):
             closure = sds.sds_closure(u, W)
@@ -440,53 +448,40 @@ def run_filters_suite(seed: int, budget: str = "default", mutate: str | None = N
                 inter &= ext
             prime_pullback.ensure(
                 inter == closure,
-                f"universe {u.things} W {_masks(u, W)}",
+                lambda: f"universe {u.things} W {_masks(u, W)}",
             )
-    return [
-        lattice_oracle.result(),
-        filter_axioms.result(),
-        intersection_structure.result(),
-        iso_forward.result(),
-        iso_backward.result(),
-        iso_round1.result(),
-        iso_round2.result(),
-        iso_mono1.result(),
-        iso_mono2.result(),
-        iso_bottom.result(),
-        iso_prime.result(),
-        principal.result(),
-        prime_rep.result(),
-    ] + [prime_pullback.result()]
+    return checks.results()
 
 
 # -- logic -------------------------------------------------------------
 
 def run_logic_suite(seed: int, budget: str = "default", mutate: str | None = None):
     rng = random.Random(seed)
-    closure_laws = _Check("semantic closure is extensive, monotone, idempotent")
-    theories = _Check("coherent SDTs are exactly the theories of non-empty valuation sets")
-    conjunctivity = _Check("theory intersections are coherent; conjunctive exactly at a smallest theory")
-    disjunction = _Check("singleton closure membership = disjunction entailment; families imply it")
-    lindenbaum = _Check("equivalence classes partition the universe; theory classes form filters")
+    checks = _Checks()
+    closure_laws = checks.new("semantic closure is extensive, monotone, idempotent")
+    theories = checks.new("coherent SDTs are exactly the theories of non-empty valuation sets")
+    conjunctivity = checks.new("theory intersections are coherent; conjunctive exactly at a smallest theory")
+    disjunction = checks.new("singleton closure membership = disjunction entailment; families imply it")
+    lindenbaum = checks.new("equivalence classes partition the universe; theory classes form filters")
     for atoms, depth in [(("p",), 2), (("p", "q"), 2)]:
         lu = logic.LogicUniverse(atoms, depth)
         u = lu.universe
         all_v = lu._all_models
         for v in range(1, all_v + 1):
             t = lu._theory_mask(v)
-            closure_laws.ensure(u.closure(t) == t, f"atoms {atoms} valuations {v:#x}")
+            closure_laws.ensure(u.closure(t) == t, lambda: f"atoms {atoms} valuations {v:#x}")
         for _ in range(40 * BUDGETS[budget]):
             mask = rng.getrandbits(u.size) & u.full_mask
             cl = u.closure(mask)
             ok = mask & ~cl == 0 and u.closure(cl) == cl
             t = rng.randrange(u.size)
             ok = ok and cl & ~u.closure(mask | (1 << t)) == 0
-            closure_laws.ensure(ok, f"atoms {atoms} mask sample")
+            closure_laws.ensure(ok, lambda: f"atoms {atoms} mask sample")
         C = set(events.coherent_sdts(u))
         expected = {lu._theory_mask(v) for v in range(1, all_v + 1)}
         theories.ensure(
             C == expected and all(u.is_coherent_sdt(D) for D in C),
-            f"atoms {atoms}",
+            lambda: f"atoms {atoms}",
         )
         # A family of theories describes the sets hitting each of them.
         # Their intersection D_S is always a coherent theory, and the
@@ -518,7 +513,7 @@ def run_logic_suite(seed: int, budget: str = "default", mutate: str | None = Non
                     outside = theory & ~D_S
                     fam |= 1 << (outside.bit_length() - 1)
                 ok = ok and all(fam & theory for theory in S) and not fam & D_S
-            conjunctivity.ensure(bool(ok), f"atoms {atoms} theories {len(S)}")
+            conjunctivity.ensure(bool(ok), lambda: f"atoms {atoms} theories {len(S)}")
         # Cross-check with the entailment oracle on explicit small families:
         # a single wff follows from a desirable family exactly when the
         # family's disjunction entails it; a desirable family of wffs only
@@ -544,7 +539,7 @@ def run_logic_suite(seed: int, budget: str = "default", mutate: str | None = Non
                 entailed = logic.entails(lu.atoms, premise, lu.wffs[i])
                 disjunction.ensure(
                     bool(D >> i & 1) == entailed,
-                    f"atoms {atoms} family {_masks(u, members)} wff {lu.wffs[i]}",
+                    lambda: f"atoms {atoms} family {_masks(u, members)} wff {lu.wffs[i]}",
                 )
             for _ in range(5):
                 probe = sum(1 << i for i in rng.sample(wff_pool, rng.randint(1, 2)))
@@ -552,7 +547,7 @@ def run_logic_suite(seed: int, budget: str = "default", mutate: str | None = Non
                 entailed = logic.entails(lu.atoms, premise, logic.fold_disjunction(lu, probe))
                 disjunction.ensure(
                     entailed if in_closure else True,
-                    f"atoms {atoms} family {_masks(u, members)} probe {u.format_set(probe)}",
+                    lambda: f"atoms {atoms} family {_masks(u, members)} probe {u.format_set(probe)}",
                 )
         classes = logic.lindenbaum_quotient(lu)
         seen = set()
@@ -560,7 +555,7 @@ def run_logic_suite(seed: int, budget: str = "default", mutate: str | None = Non
             seen.update(str(w) for w in c.members)
         lindenbaum.ensure(
             len(seen) == u.size and len({c.valuations for c in classes}) == len(classes),
-            f"atoms {atoms}",
+            lambda: f"atoms {atoms}",
         )
         class_tables = {c.valuations for c in classes}
         for D in C:
@@ -576,14 +571,8 @@ def run_logic_suite(seed: int, budget: str = "default", mutate: str | None = Non
                 and all(t1 & t2 in tables if t1 & t2 in class_tables else True
                         for t1 in tables for t2 in tables)
             )
-            lindenbaum.ensure(proper_filter, f"atoms {atoms} theory classes")
-    return [
-        closure_laws.result(),
-        theories.result(),
-        conjunctivity.result(),
-        disjunction.result(),
-        lindenbaum.result(),
-    ]
+            lindenbaum.ensure(proper_filter, lambda: f"atoms {atoms} theory classes")
+    return checks.results()
 
 
 # -- gambles -----------------------------------------------------------
@@ -611,12 +600,13 @@ def _random_credal(rng, dim) -> gambles.CredalSet:
 def run_gambles_suite(seed: int, budget: str = "default", mutate: str | None = None):
     rng = random.Random(seed)
     rounds = 25 * BUDGETS[budget]
-    cone_laws = _Check("cone membership survives rescaling and addition")
-    od_axioms = _Check("consistent statements never extend to a non-positive gamble")
-    vertex_agreement = _Check("E-admissibility agrees with the vertex-enumeration oracle")
-    dominance = _Check("strictly dominated options are always rejected")
-    translation = _Check("rejection via shifted gamble sets = complement of E-admissibility")
-    sen_alpha = _Check("rejections only grow when the option set grows")
+    checks = _Checks()
+    cone_laws = checks.new("cone membership survives rescaling and addition")
+    od_axioms = checks.new("consistent statements never extend to a non-positive gamble")
+    vertex_agreement = checks.new("E-admissibility agrees with the vertex-enumeration oracle")
+    dominance = checks.new("strictly dominated options are always rejected")
+    translation = checks.new("rejection via shifted gamble sets = complement of E-admissibility")
+    sen_alpha = checks.new("rejections only grow when the option set grows")
     for _ in range(rounds):
         dim = rng.randint(1, 3)
         D = gambles.GambleStatementSet(
@@ -628,7 +618,7 @@ def run_gambles_suite(seed: int, budget: str = "default", mutate: str | None = N
         scaled = tuple(lam * v for v in g)
         cone_laws.ensure(
             gambles.natural_extension_contains(D, scaled) == inside,
-            f"D {D.desirable} g {g} lambda {lam}",
+            lambda: f"D {D.desirable} g {g} lambda {lam}",
         )
         if inside:
             h = _random_gamble(rng, dim)
@@ -636,22 +626,22 @@ def run_gambles_suite(seed: int, budget: str = "default", mutate: str | None = N
                 total = tuple(a + b for a, b in zip(g, h))
                 cone_laws.ensure(
                     gambles.natural_extension_contains(D, total),
-                    f"D {D.desirable} g {g} h {h}",
+                    lambda: f"D {D.desirable} g {g} h {h}",
                 )
         if gambles.is_consistent_gambles(D):
             neg = tuple(-abs(v) - 1 for v in _random_gamble(rng, dim))
             od_axioms.ensure(
                 not gambles.natural_extension_contains(D, neg),
-                f"D {D.desirable} neg {neg}",
+                lambda: f"D {D.desirable} neg {neg}",
             )
             od_axioms.ensure(
                 not gambles.natural_extension_contains(D, tuple([Fraction(0)] * dim)),
-                f"D {D.desirable}",
+                lambda: f"D {D.desirable}",
             )
         pos = tuple(abs(v) + 1 for v in _random_gamble(rng, dim))
         od_axioms.ensure(
             gambles.natural_extension_contains(D, pos),
-            f"D {D.desirable} pos {pos}",
+            lambda: f"D {D.desirable} pos {pos}",
         )
     for _ in range(rounds):
         dim = rng.randint(1, 3)
@@ -665,27 +655,20 @@ def run_gambles_suite(seed: int, budget: str = "default", mutate: str | None = N
             oracle = bool(gambles.enumerate_vertices(M, extra_ub=shifted))
             vertex_agreement.ensure(
                 (u in admissible) == oracle,
-                f"M {M.constraints} H {H} u {u}",
+                lambda: f"M {M.constraints} H {H} u {u}",
             )
             if any(gambles.dominates(h, u) for h in H):
-                dominance.ensure(u not in admissible, f"M {M.constraints} H {H} u {u}")
+                dominance.ensure(u not in admissible, lambda: f"M {M.constraints} H {H} u {u}")
             translation.ensure(
                 gambles.rejects(M, H, u) == (u not in admissible),
-                f"M {M.constraints} H {H} u {u}",
+                lambda: f"M {M.constraints} H {H} u {u}",
             )
         if len(H) > 1:
             H1 = H[:-1]
             r1 = {u for u in H1 if gambles.rejects(M, H1, u)}
             r2 = {u for u in H if gambles.rejects(M, H, u)}
-            sen_alpha.ensure(r1 <= r2, f"M {M.constraints} H1 {H1} H {H}")
-    return [
-        cone_laws.result(),
-        od_axioms.result(),
-        vertex_agreement.result(),
-        dominance.result(),
-        translation.result(),
-        sen_alpha.result(),
-    ]
+            sen_alpha.ensure(r1 <= r2, lambda: f"M {M.constraints} H1 {H1} H {H}")
+    return checks.results()
 
 
 SUITES = {

@@ -11,6 +11,11 @@ coincide (`check_sds_coherent`).  A coherent SDS is fixed by its
 compatible coherent SDTs (`conjunctive_closure`), and the complete
 coherent SDSes are exactly their conjunctive models (`sdsify`).
 
+By that representation theorem `check_sds_coherent` decides axiom K5
+by comparing K with its `conjunctive_closure`; the production scan
+over all 2^|K| subfamilies survives only in the `lawcheck` oracles
+`sds_closure`, `production_step` and `production_step_raw`.
+
 Inconsistency is a value: the closure operators return the full power
 set (the top of the closed-SDS lattice) instead of raising.
 """
@@ -18,7 +23,8 @@ set (the top of the closed-SDS lattice) instead of raising.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, product
+from operator import and_
 
 from .core import CapacityError, InconsistencyError, InputError, Universe
 from . import events
@@ -136,6 +142,9 @@ def production_step_raw(u: Universe, W) -> frozenset[int]:
 def check_sds_coherent(u: Universe, K, *, skip_axioms=frozenset()) -> Verdict:
     """Check axioms K1-K5; the first violated axiom is named with a witness.
 
+    A K5 witness is (family, s, compatible): the least set s missing
+    from `conjunctive_closure(u, K)`, an inclusion-minimal subfamily of
+    K whose closure holds it, and that subfamily's compatible SDTs.
     `skip_axioms` names axiom numbers ("1".."5") to bypass; it exists so
     the self-test harness can verify that each axiom is load-bearing.
     """
@@ -175,30 +184,28 @@ def check_sds_coherent(u: Universe, K, *, skip_axioms=frozenset()) -> Verdict:
                     f"singleton {u.format_set(bit)} of an always-desirable thing is missing",
                 )
     if "5" not in skip:
-        ordered = sorted(members)
-        n = len(ordered)
-        if n > 16:
-            raise CapacityError(f"production scan over 2^{n} subfamilies refused")
-        # Subfamilies in order of increasing size, for small witnesses.
-        subsets = sorted(range(1, 1 << n), key=lambda b: (b.bit_count(), b))
-        for bits in subsets:
-            family = tuple(ordered[i] for i in range(n) if bits >> i & 1)
-            if 0 in family:
-                continue  # covered by axiom 1
-            if "2" in skip:
-                # Without the superset axiom the hitting-set shortcut is
-                # unjustified; fall back to the raw per-choice products.
-                produced = production_step_raw(u, family)
-            else:
-                produced = production_step(u, family)
-            per_sigma = tuple(sorted(_production_constraints(u, family)))
-            for s in sorted(produced):
-                if s not in members:
-                    return Verdict(
-                        False, "K5", (family, s, per_sigma),
-                        f"family {[u.format_set(f) for f in family]} produces "
-                        f"{u.format_set(s)}, which is missing",
-                    )
+        # Representation theorem: K is closed iff it equals the closure
+        # through its compatible coherent SDTs.
+        missing = conjunctive_closure(u, members) - members
+        if missing:
+            s = min(missing)
+            # Drop members one at a time while the rest still forces s,
+            # i.e. its event lies inside A_s; after[i] is the event of
+            # the members from i on.
+            outside = ~events.basic_event(u, s)
+            ordered = sorted(members)
+            basic = [events.basic_event(u, f) for f in ordered]
+            after = list(accumulate(reversed(basic), and_, initial=events.event_of(u, ())))[::-1]
+            kept, family = after[-1], ()
+            for f, a, rest in zip(ordered, basic, after[1:]):
+                if kept & rest & outside:  # without f, s is no longer forced
+                    kept, family = kept & a, family + (f,)
+            compatible = events.event_members(u, kept)
+            return Verdict(
+                False, "K5", (family, s, compatible),
+                f"family {[u.format_set(f) for f in family]} forces "
+                f"{u.format_set(s)}, which is missing",
+            )
     return Verdict(True)
 
 
@@ -217,7 +224,8 @@ def sds_closure(u: Universe, W, *, skip_axioms=frozenset()) -> frozenset[int]:
     Brute force: iterates superset closure, forbidden stripping,
     always-desirable singletons, and production over every subfamily of
     the current set, until stable.  Only viable on very small universes;
-    it is the oracle that `lawcheck` holds `conjunctive_closure` to.
+    it is the oracle that `lawcheck` holds `conjunctive_closure` and the
+    K5 test of `check_sds_coherent` to.
     """
     skip = frozenset(skip_axioms)
     K = set(W)
@@ -233,16 +241,7 @@ def sds_closure(u: Universe, W, *, skip_axioms=frozenset()) -> frozenset[int]:
                 if stripped not in K:
                     added.add(stripped)
         if "2" not in skip:
-            for s in K:
-                rest = u.full_mask & ~s
-                sub = rest
-                while True:
-                    bigger = s | sub
-                    if bigger not in K:
-                        added.add(bigger)
-                    if sub == 0:
-                        break
-                    sub = (sub - 1) & rest
+            added |= up_close(u, K) - K
         if not added and "5" not in skip:
             ordered = sorted(K)
             n = len(ordered)
@@ -352,15 +351,11 @@ def enumerate_complete_coherent_extensions(u: Universe, K) -> list[frozenset[int
     conjunctive models of the coherent SDTs, so these are the models
     that include K.
     """
-    members = frozenset(K)
-    if not events.event_of(u, members):
+    event = events.event_of(u, K)
+    if not event:
         raise InconsistencyError("no coherent SDT is compatible with K", 0)
-    found = set()
-    for D in u.enumerate_coherent_sdts():
-        model = sdsify(u, D)
-        if members <= model:
-            found.add(model)
-    return sorted(found, key=lambda f: sorted(f))
+    models = [sdsify(u, D) for D in events.event_members(u, event)]
+    return sorted(models, key=lambda f: sorted(f))
 
 
 def parse_sds(u: Universe, text: str) -> frozenset[int]:

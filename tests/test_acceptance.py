@@ -360,9 +360,10 @@ def test_mutation_self_test(axiom):
 def test_finite_mode_and_full_mode_coincide():
     # The infinite-universe gap between finite coherence and coherence
     # cannot exist here: every closure operator on a finite universe is
-    # finitary, so the one checker must return the verdict of the
-    # representation theorem (K is coherent iff it is the closure of its
-    # own compatible coherent SDTs and not the top) on every instance.
+    # finitary, so the one checker, which decides K5 by the
+    # representation theorem, must return the verdict of the axioms'
+    # own least fixpoint (K is coherent iff it is its own fixpoint
+    # closure and not the top) on every instance.
     started = time.perf_counter()
     rng = random.Random(5)
     failure = None
@@ -379,8 +380,8 @@ def test_finite_mode_and_full_mode_coincide():
         cases.append((u, K))
     for u, K in cases:
         verdict = sds.check_sds_coherent(u, K)
-        represented = K == sds.conjunctive_closure(u, K) and not sds.is_top(u, K)
+        represented = K == sds.sds_closure(u, K) and not sds.is_top(u, K)
         if verdict.ok != represented and failure is None:
             failure = f"universe {u.things} K {fmt(u, K)}"
-    report("finite and full coherence coincide: checker = representation verdict",
+    report("finite and full coherence coincide: checker = fixpoint-closure verdict",
            started, 10, failure)

@@ -128,6 +128,22 @@ def test_sds_check_accepts_the_closure(capsys, u1_path, tmp_path):
     capsys.readouterr()
 
 
+def test_sds_check_answers_beyond_the_subfamily_scan(capsys, tmp_path):
+    # the closure of {t0}, {t1 t2} over six rule-free things has
+    # 2^5 + 2^3 = 40 members, far beyond a scan of its 2^40 subfamilies
+    u = tmp_path / "U6.univ"
+    u.write_text("things: t0 t1 t2 t3 t4 t5\n")
+    names = ["t0", "t1", "t2", "t3", "t4", "t5"]
+    closure = [s for s in range(64) if s & 0b1 or s & 0b110 == 0b110]
+    w = tmp_path / "K.sds"
+    w.write_text("".join(
+        "assert-set: " + " ".join(n for i, n in enumerate(names) if s >> i & 1) + "\n"
+        for s in closure
+    ))
+    code, out, _ = run(capsys, "sds-check", str(u), str(w))
+    assert len(closure) == 40 and code == 0 and out == "COHERENT\n"
+
+
 def test_conjrep_lists_event_and_factors(capsys, u1_path, tmp_path):
     w = tmp_path / "W.sds"
     w.write_text(W_SINGLETONS)
@@ -193,6 +209,15 @@ def test_capacity_overrides_need_force(capsys, u2_path, monkeypatch):
     assert run(capsys, "--force", "--capacity", "20,20", "enumerate", u2_path)[0] == 2
     monkeypatch.setenv("DESIRE_KERNEL_CAPACITY", "lots")
     assert run(capsys, "--force", "enumerate", u2_path)[0] == 2
+
+
+def test_capacity_below_one_is_an_input_error(capsys, u2_path, monkeypatch):
+    for value in ("0", "-1"):
+        code, _, err = run(capsys, f"--capacity={value}", "enumerate", u2_path)
+        assert code == 2 and "--capacity" in err and repr(value) in err
+    monkeypatch.setenv("DESIRE_KERNEL_CAPACITY", "-3")
+    code, _, err = run(capsys, "enumerate", u2_path)
+    assert code == 2 and "DESIRE_KERNEL_CAPACITY" in err and "'-3'" in err
 
 
 def test_lowering_capacity_needs_no_force(capsys, u2_path):

@@ -3,7 +3,7 @@
 import pytest
 
 from desire_kernel import sds
-from desire_kernel.core import InconsistencyError, InputError
+from desire_kernel.core import InconsistencyError, InputError, RuleSet, Universe
 
 
 def masks(u, names_list):
@@ -93,12 +93,28 @@ def test_sdfs_bottom_is_coherent(u2):
     assert sds.check_sds_coherent(u2, F).ok
 
 
+def test_k5_witness_needs_the_forbidden_strip():
+    # rules a -> b and a b -> c, b forbidden: {a b c} forces {c} only
+    # after production gives {b c} and K3 strips the b
+    u = Universe(["a", "b", "c"], RuleSet(((0b001, 0b010), (0b011, 0b100))), forbidden=["b"])
+    K = masks(u, [["a", "c"], ["a", "b", "c"]])
+    verdict = sds.check_sds_coherent(u, K)
+    assert verdict.axiom == "K5" and "forces" in verdict.detail
+    family, s, compatible = verdict.witness
+    assert s == u.mask_of(["c"]) and family == (u.mask_of(["a", "b", "c"]),)
+    assert set(family) <= K and s not in K
+    assert s in sds.sds_closure(u, family)
+    assert s not in sds.production_step(u, family)
+    assert all(s not in sds.sds_closure(u, set(family) - {f}) for f in family)
+    assert compatible == (u.mask_of(["c"]),)
+
+
 def test_finite_and_full_modes_agree(u1, u2, u3):
     # finite coherence and coherence coincide here: the one checker's
-    # verdict is the representation theorem's
+    # verdict is that of the fixpoint closure oracle
     for u in (u1, u2, u3):
         for K in [frozenset(), nonempty(u), frozenset({u.full_mask}), frozenset({0})]:
-            closed = K == sds.conjunctive_closure(u, K) and not sds.is_top(u, K)
+            closed = K == sds.sds_closure(u, K) and not sds.is_top(u, K)
             assert sds.check_sds_coherent(u, K).ok == closed
 
 
