@@ -3,6 +3,13 @@
 Things are interned to dense indices; every set of things is a bitmask
 (int) over those indices.  All operations are pure functions over
 immutable values, so universes are safe to share between threads.
+
+Both algorithms scale with their output, not with 2^|T|.  A rule set
+closes a mask by LinClosure (Beeri & Bernstein, ACM TODS 1979): each
+rule fires at most once, when its last premise arrives, so one closure
+is linear in the total size of the rules.  The coherent SDTs C are
+enumerated by Close-by-One (Kuznetsov 1993; Ganter's NextClosure
+1984) in at most |C|·|T| closure calls, and cached on the universe.
 """
 
 from __future__ import annotations
@@ -58,29 +65,57 @@ class RuleSet(ClosureSpec):
     """Finite productions (premises -> conclusion); closure is their least fixpoint.
 
     Least-fixpoint operators are extensive, monotone, idempotent and
-    finitary by construction, so validation is a no-op.
+    finitary by construction, so validation is a no-op.  The operator is
+    LinClosure: watch lists (the rules each thing is a premise of) and
+    premise counts are built once per universe; a close call counts down
+    the premises of each rule as things arrive and fires the rule from a
+    queue when its count reaches zero, so each rule fires at most once.
     """
 
     rules: tuple[tuple[int, int], ...]  # (premises mask, conclusion mask)
 
     def operator(self, universe):
-        rules = self.rules
+        axioms = 0  # conclusions of premise-free rules: in every closure
+        counts: list[int] = []
+        conclusions: list[int] = []
+        watch: list[list[int]] = [[] for _ in range(universe.size)]
+        for premises, conclusion in self.rules:
+            if not premises:
+                axioms |= conclusion
+                continue
+            for t in _bits(premises):
+                watch[t].append(len(counts))
+            counts.append(premises.bit_count())
+            conclusions.append(conclusion)
 
         def close(mask: int) -> int:
-            result = mask
-            changed = True
-            while changed:
-                changed = False
-                for premises, conclusion in rules:
-                    if premises & result == premises and conclusion & ~result:
-                        result |= conclusion
-                        changed = True
+            result = mask | axioms
+            missing = counts.copy()
+            queue = _bits(result)
+            while queue:
+                for r in watch[queue.pop()]:
+                    missing[r] -= 1
+                    if not missing[r]:
+                        new = conclusions[r] & ~result
+                        if new:
+                            result |= new
+                            queue += _bits(new)
             return result
 
         return close
 
     def validate(self, universe):
         pass
+
+
+def _bits(mask: int) -> list[int]:
+    """The indices of the set bits of mask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 @dataclass(frozen=True)
@@ -126,8 +161,8 @@ class Backend(ClosureSpec):
     """Opaque closure hook, supplied by the logic or gambles backends.
 
     `close` maps a thing mask to its closed mask.  `enumerate_coherent`,
-    when given, replaces the exhaustive subset scan for coherent-set
-    enumeration (backends often know a cheaper characterisation).
+    when given, replaces Close-by-One for coherent-set enumeration
+    (backends often know a cheaper characterisation).
     """
 
     close: Callable[[int], int]
@@ -164,6 +199,10 @@ class Universe:
         closure_spec.validate(self)
         self._close = closure_spec.operator(self)
         self._closure_cache: dict[int, int] = {}
+        # C in canonical order, once enumerated, and the single-thing
+        # events A_{t} over it, filled in on demand by the events module.
+        self._coherent: tuple[int, ...] | None = None
+        self._thing_events: list[int | None] | None = None
         self.forbidden_mask = self.mask_of(forbidden)
         self.always_desirable_mask = self.closure(0)  # T+
         if self.always_desirable_mask & self.forbidden_mask:
@@ -221,14 +260,41 @@ class Universe:
         return not self.closure(mask) & self.forbidden_mask
 
     def enumerate_coherent_sdts(self, limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[int]:
-        """All coherent SDTs in canonical bitmask order."""
-        if isinstance(self.closure_spec, Backend) and self.closure_spec.enumerate_coherent:
-            return self.closure_spec.enumerate_coherent(self)
-        if self.size > limit:
+        """All coherent SDTs in canonical bitmask order, by Close-by-One.
+
+        The search starts from T+ = cl({}) and extends a closed set A by
+        one thing i past its branch point, keeping B = cl(A | {i}) when
+        B avoids the forbidden things and adds no thing below i.  By
+        monotonicity every extension of a B that meets the forbidden
+        things meets them too, so that branch is cut; the second test
+        (canonicity) reaches each closed set exactly once.  Each coherent
+        SDT makes at most |T| closure calls.  C is cached on the
+        universe; the |T| limit is checked on every call.
+        """
+        spec = self.closure_spec
+        hook = spec.enumerate_coherent if isinstance(spec, Backend) else None
+        if hook is None and self.size > limit:
             raise CapacityError(
-                f"enumeration over 2^{self.size} subsets exceeds the limit of 2^{limit}"
+                f"enumeration of coherent sets over {self.size} things exceeds the limit of {limit} things"
             )
-        return [s for s in self.subsets() if self.is_coherent_sdt(s)]
+        if self._coherent is None:
+            self._coherent = tuple(hook(self) if hook else sorted(self._close_by_one()))
+        return list(self._coherent)
+
+    def _close_by_one(self) -> list[int]:
+        close, forbidden, n = self._close, self.forbidden_mask, self.size
+        found = []
+        stack = [(self.always_desirable_mask, 0)]
+        while stack:
+            closed, branch = stack.pop()
+            found.append(closed)
+            for i in range(branch, n):
+                if closed >> i & 1:
+                    continue
+                bigger = close(closed | 1 << i)
+                if not bigger & forbidden and not (bigger & ~closed) & ((1 << i) - 1):
+                    stack.append((bigger, i + 1))
+        return found
 
     def sdt_closure_via_intersection(self, mask: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> int:
         """Intersection of all coherent SDTs that include mask; equals closure(mask)."""

@@ -8,7 +8,7 @@ events is distributive by construction.
 
 from __future__ import annotations
 
-from .core import CapacityError, Universe
+from .core import CapacityError, Universe, _bits
 
 __all__ = [
     "coherent_sdts",
@@ -26,11 +26,10 @@ DEFAULT_C_LIMIT = 12
 
 
 def coherent_sdts(u: Universe) -> tuple[int, ...]:
-    """The canonical enumeration of C, cached on the universe."""
-    cached = getattr(u, "_coherent_sdts", None)
-    if cached is None:
-        cached = u._coherent_sdts = tuple(u.enumerate_coherent_sdts())
-    return cached
+    """The canonical enumeration of C, cached on the universe by `core`."""
+    if u._coherent is None:
+        u.enumerate_coherent_sdts()
+    return u._coherent
 
 
 def event_members(u: Universe, event: int) -> tuple[int, ...]:
@@ -40,12 +39,21 @@ def event_members(u: Universe, event: int) -> tuple[int, ...]:
 
 
 def basic_event(u: Universe, s: int) -> int:
-    """A_s: the coherent SDTs compatible with 's holds a desirable thing'."""
+    """A_s: the coherent SDTs compatible with 's holds a desirable thing'.
+
+    A_s is the union of the single-thing events A_{t} over t in s.  Each
+    A_{t} is built on first use and kept on the universe next to C.
+    """
     u.check_mask(s)
+    if u._thing_events is None:
+        u._thing_events = [None] * u.size
+    thing_events = u._thing_events
     event = 0
-    for i, D in enumerate(coherent_sdts(u)):
-        if s & D:
-            event |= 1 << i
+    for t in _bits(s):
+        if thing_events[t] is None:
+            C = coherent_sdts(u)
+            thing_events[t] = int("".join("1" if D >> t & 1 else "0" for D in reversed(C)), 2)
+        event |= thing_events[t]
     return event
 
 

@@ -109,14 +109,34 @@ def _masks(u, masks) -> str:
 
 # -- core --------------------------------------------------------------
 
+def _scan_coherent(u: Universe) -> list[int]:
+    """Oracle for Close-by-One: every closed mask avoiding the forbidden things, by a 2^|T| scan."""
+    return [s for s in u.subsets() if u.is_coherent_sdt(s)]
+
+
+def _sweep_closure(rules, mask: int) -> int:
+    """Oracle for LinClosure: re-sweep every rule until nothing changes."""
+    result = mask
+    changed = True
+    while changed:
+        changed = False
+        for premises, conclusion in rules:
+            if premises & result == premises and conclusion & ~result:
+                result |= conclusion
+                changed = True
+    return result
+
+
 def run_core_suite(seed: int, budget: str = "default", mutate: str | None = None):
     rng = random.Random(seed)
     rounds = 50 * BUDGETS[budget]
     checks = _Checks()
     laws = checks.new("closure-operator-laws (extensive, monotone, idempotent)")
     inter = checks.new("closure equals intersection of including coherent SDTs")
-    for _ in range(rounds):
-        u = random_universe(rng)
+    cbo = checks.new("Close-by-One enumeration = 2^|T| scan of closed consistent masks")
+    lin = checks.new("LinClosure = sweep fixpoint of the rules")
+    for u in fixed_universes() + [random_universe(rng) for _ in range(rounds)]:
+        rules = u.closure_spec.rules
         for mask in u.subsets():
             cl = u.closure(mask)
             c1 = mask & ~cl == 0
@@ -125,11 +145,22 @@ def run_core_suite(seed: int, budget: str = "default", mutate: str | None = None
                 cl & ~u.closure(mask | (1 << t)) == 0 for t in range(u.size)
             )
             laws.ensure(c1 and c2 and c3, lambda: f"universe {u.things} rules {u.closure_spec} set {u.format_set(mask)}")
+            lin.ensure(
+                cl == _sweep_closure(rules, mask),
+                lambda: f"universe {u.things} rules {u.closure_spec} set {u.format_set(mask)}",
+            )
             if u.is_consistent_sdt(mask):
                 inter.ensure(
                     u.sdt_closure_via_intersection(mask) == cl,
                     lambda: f"universe {u.things} set {u.format_set(mask)}",
                 )
+        enumerated = u.enumerate_coherent_sdts()
+        scanned = _scan_coherent(u)
+        cbo.ensure(
+            enumerated == scanned,
+            lambda: f"universe {u.things} rules {u.closure_spec} forbidden {u.format_set(u.forbidden_mask)}: "
+            f"enumerated {' '.join(map(u.format_set, enumerated))}, scanned {' '.join(map(u.format_set, scanned))}",
+        )
     return checks.results()
 
 

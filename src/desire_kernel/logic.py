@@ -317,7 +317,8 @@ class LogicUniverse:
 
         A closed set avoiding the contradictions has a non-empty model
         set V and equals the theory of V, so scanning the (few) V sets
-        replaces the scan over 2^|things| subsets.  When no wff of the
+        replaces Close-by-One and its up to |C|·|things| closure calls
+        over thousands of wffs.  When no wff of the
         universe is unsatisfiable, the theory of the empty valuation
         set (everything) avoids the forbidden set too, and counts.
         """

@@ -57,6 +57,21 @@ def test_enumerate_command(capsys, u2_path):
     assert code == 0 and out == "{a}\n"
 
 
+def test_enumerate_answers_beyond_the_subset_scan(capsys, tmp_path):
+    # a chain t0 -> t1 -> ... -> t29: the coherent sets are the empty set
+    # and the 30 tails {t_k .. t29}, out of 2^30 subsets
+    names = [f"t{i}" for i in range(30)]
+    u = tmp_path / "chain.univ"
+    u.write_text("things: " + " ".join(names) + "\n"
+                 + "".join(f"rule: {a} -> {b}\n" for a, b in zip(names, names[1:])))
+    code, out, _ = run(capsys, "--capacity", "30", "--force", "enumerate", str(u))
+    tails = ["{" + " ".join(names[k:]) + "}" for k in reversed(range(30))]
+    assert code == 0 and out.splitlines() == ["{}"] + tails
+    code, out, err = run(capsys, "enumerate", str(u))
+    assert code == 2 and out == ""
+    assert "over 30 things exceeds the limit of 12 things" in err
+
+
 def test_malformed_universe_is_an_input_error(capsys, tmp_path):
     bad = tmp_path / "bad.univ"
     bad.write_text("things: a\nrule: a b\n")

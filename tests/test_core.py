@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from desire_kernel.core import (
+    Backend,
     CapacityError,
     InconsistencyError,
     InputError,
@@ -60,6 +61,64 @@ def test_enumeration_lists_all_coherent_sets(u1, u2):
     assert [u2.names_of(D) for D in u2.enumerate_coherent_sdts()] == [("a",)]
 
 
+def test_rule_closure_with_axioms_duplicates_and_present_conclusions():
+    a, b, c, d = 0b0001, 0b0010, 0b0100, 0b1000
+    rules = RuleSet((
+        (0, a), (0, a),  # a duplicated axiom
+        (a | b, c), (a | b, c),  # a duplicated rule
+        (c, a),  # its conclusion is an axiom, so always present
+        (b, b),  # concludes one of its own premises
+        (c | d, b),  # fires only once c has been derived
+    ))
+    u = Universe(["a", "b", "c", "d"], rules)
+    assert u.closure(0) == a
+    assert u.closure(b) == a | b | c
+    assert u.closure(d) == a | d
+    assert u.closure(c | d) == a | b | c | d
+    assert u.closure(a | b | c | d) == a | b | c | d
+
+
+def test_enumeration_makes_at_most_C_times_T_closure_calls():
+    # twelve things: a chain t0 -> t1 -> ... -> t5, t6 t7 -> t11 with t11
+    # forbidden, and t8 t9 t10 free; 2^12 masks but only 168 coherent sets
+    names = [f"t{i}" for i in range(12)]
+    rules = tuple((1 << i, 1 << (i + 1)) for i in range(5)) + ((0b11 << 6, 1 << 11),)
+    plain = Universe(names, RuleSet(rules), forbidden=["t11"])
+    calls = 0
+
+    def close(mask):
+        nonlocal calls
+        calls += 1
+        return plain.closure(mask)
+
+    u = Universe(names, Backend(close), forbidden=["t11"])
+    calls = 0
+    C = u.enumerate_coherent_sdts()
+    assert C == [s for s in plain.subsets() if plain.is_coherent_sdt(s)]
+    assert len(C) == 7 * 3 * 8  # chain tails x (not both t6 and t7) x free
+    assert calls <= len(C) * u.size + 1
+    # C is cached: the diagnostics that read it make no further closure calls
+    made = calls
+    assert u.sdt_closure_via_intersection(0) == 0
+    assert never_desirable_things(u) == 0
+    assert calls == made
+
+
+def test_table_universe_with_forbidden_things_enumerates_as_the_scan():
+    # the closure of a -> b and b c -> d as a table, with d forbidden
+    def close(mask):
+        if mask & 0b0001:
+            mask |= 0b0010
+        if mask & 0b0110 == 0b0110:
+            mask |= 0b1000
+        return mask
+
+    u = Universe(["a", "b", "c", "d"], Table(tuple(close(m) for m in range(16))), forbidden=["d"])
+    scanned = [s for s in u.subsets() if u.is_coherent_sdt(s)]
+    assert u.enumerate_coherent_sdts() == scanned
+    assert [u.names_of(D) for D in scanned] == [(), ("b",), ("a", "b"), ("c",)]
+
+
 def test_closure_via_intersection_agrees(u1, u2):
     assert u1.sdt_closure_via_intersection(u1.mask_of(["a", "b"])) == u1.mask_of(["a", "b", "c"])
     assert u1.sdt_closure_via_intersection(0) == 0
@@ -105,7 +164,7 @@ def test_subset_scan_is_guarded():
     wide = Universe([f"t{i}" for i in range(30)], RuleSet(()))
     with pytest.raises(CapacityError):
         wide.subsets()
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match="over 30 things exceeds the limit of 12 things"):
         wide.enumerate_coherent_sdts(limit=12)
 
 

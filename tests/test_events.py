@@ -1,5 +1,8 @@
 """Events over the coherent SDTs and their bounded lattice."""
 
+import gc
+import weakref
+
 import pytest
 
 from desire_kernel import events
@@ -22,6 +25,25 @@ def test_empty_set_has_the_impossible_event(u1):
 def test_sets_meeting_the_unconditional_closure_are_sure(u2):
     full = (1 << len(events.coherent_sdts(u2))) - 1
     assert events.basic_event(u2, u2.mask_of(["a"])) == full
+
+
+def test_basic_event_matches_its_definition_on_every_set(u1, u2):
+    for u in (u1, u2):
+        C = events.coherent_sdts(u)
+        for s in u.subsets():
+            expected = sum(1 << i for i, D in enumerate(C) if s & D)
+            assert events.basic_event(u, s) == expected
+
+
+def test_event_caches_do_not_keep_universes_alive():
+    refs = []
+    for _ in range(3):
+        u = Universe(["a", "b", "c"], RuleSet(((0b011, 0b100),)))
+        events.event_of(u, [0b001, 0b110])
+        refs.append(weakref.ref(u))
+        del u
+    gc.collect()
+    assert [r() for r in refs] == [None, None, None]
 
 
 def test_event_of_a_family_is_the_meet_of_basic_events(u1):
